@@ -20,7 +20,7 @@
 //! * [`metrics`] — throughput meters, latency histograms, and time series
 //!   used by the benchmark harness.
 //! * [`pool`] — the fixed worker pool (std threads + bounded channels)
-//!   shared by the staged verify/execute pipeline.
+//!   behind the pooled verifier and the parallel executor.
 //! * [`rng`] — the SplitMix64 generator behind every piece of deterministic
 //!   randomness in the workspace (simulated jitter, workload contents).
 //! * [`status`] — the per-instance coordination status exposed by an RCC

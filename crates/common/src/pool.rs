@@ -1,12 +1,13 @@
 //! A fixed-size worker pool over std threads and bounded channels.
 //!
-//! The staged verify/execute pipeline fans work out to this pool: the
-//! `rcc-crypto` batch-verification stage authenticates inbound frames on it,
-//! and the `rcc-execution` conflict-aware executor runs independent
-//! transaction groups on it. The pool is deliberately tiny — plain
-//! `std::thread` workers pulling boxed jobs from one bounded `sync_channel`
-//! — because the workspace vendors no async runtime and the pipeline's
-//! determinism argument is easiest to audit when scheduling is this simple.
+//! The `rcc-crypto` pooled verifier authenticates frames on this pool, and
+//! the `rcc-execution` conflict-aware executor runs independent transaction
+//! groups on it. The deployed node uses neither (it verifies and executes
+//! inline); the deployment benchmark's replay compares both against the
+//! inline paths. The pool is deliberately tiny — plain `std::thread`
+//! workers pulling boxed jobs from one bounded `sync_channel` — because the
+//! workspace vendors no async runtime and the determinism argument is
+//! easiest to audit when scheduling is this simple.
 //!
 //! Determinism: [`WorkerPool::run_ordered`] tags every job with its
 //! submission index and reassembles results in that order, so callers observe

@@ -2,8 +2,9 @@
 //!
 //! Two execution paths produce byte-identical results:
 //!
-//! * [`ExecutionEngine::execute_round`] — the sequential reference: every
-//!   transaction of the round applied in the agreed order.
+//! * [`ExecutionEngine::execute_round`] — the sequential path, and the one
+//!   the deployed node runs: every transaction of the round applied in the
+//!   agreed order.
 //! * [`ExecutionEngine::execute_round_parallel`] — the pipelined path: the
 //!   round's transactions are partitioned into independent conflict groups
 //!   (see [`crate::conflict`]), groups execute concurrently on a

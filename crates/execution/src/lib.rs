@@ -9,9 +9,11 @@
 //! produces the per-client replies that replicas send back.
 //!
 //! Execution comes in two provably equivalent flavours: the sequential
-//! reference path, and a conflict-aware parallel path ([`conflict`]) that
-//! executes non-conflicting transactions of a released round concurrently
-//! on a worker pool while conflicting ones keep the agreed order.
+//! path the deployed node runs, and a conflict-aware parallel path
+//! ([`conflict`]) that executes non-conflicting transactions of a released
+//! round concurrently on a worker pool while conflicting ones keep the
+//! agreed order. The parallel path measured slower than the sequential one
+//! on the deployment; it stays as the deployment benchmark's comparison.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

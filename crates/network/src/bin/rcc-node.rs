@@ -4,7 +4,6 @@
 //! rcc-node cluster [--replicas N] [--instances M] [--clients C]
 //!                  [--batch-size B] [--crypto none|mac|pk] [--seed S]
 //!                  [--duration-ms D] [--window W] [--in-process]
-//!                  [--execution-workers W]
 //!                  [--io-threads T] [--max-clients L] [--fleet-sessions F]
 //!                  [--min-completed Q] [--stats-out FILE]
 //!                  [--telemetry-interval MS] [--telemetry-out FILE]
@@ -85,7 +84,7 @@ fn main() {
 
 const USAGE: &str = "usage:\n  rcc-node cluster [--replicas N] [--instances M] [--clients C] \
 [--batch-size B] [--crypto none|mac|pk] [--seed S] [--duration-ms D] [--window W] \
-[--in-process] [--execution-workers W] [--io-threads T] [--max-clients L] \
+[--in-process] [--io-threads T] [--max-clients L] \
 [--fleet-sessions F] [--min-completed Q] [--stats-out FILE] \
 [--telemetry-interval MS] [--telemetry-out FILE] [--dump-events] \
 [--kill R --kill-after-ms K --down-for-ms T] \
@@ -190,16 +189,6 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
         },
         clients: flags.int("--clients", 2)? as usize,
         client_window: flags.int("--window", 4)? as usize,
-        execution_workers: {
-            let workers = flags.int(
-                "--execution-workers",
-                rcc_network::DEFAULT_EXECUTION_WORKERS as u64,
-            )? as usize;
-            if workers == 0 {
-                return Err("--execution-workers must be at least 1".into());
-            }
-            workers
-        },
         io_threads: {
             let threads =
                 flags.int("--io-threads", rcc_network::DEFAULT_IO_THREADS as u64)? as usize;
@@ -516,15 +505,8 @@ fn cmd_replica(args: &[String]) -> Result<(), String> {
          ({} edge I/O threads, admission cap {})",
         file.io_threads, file.max_clients
     );
-    let handle = spawn_node(
-        NodeConfig {
-            system: file.system,
-            replica,
-            execution_workers: file.execution_workers,
-        },
-        transport,
-    )
-    .map_err(|e| e.to_string())?;
+    let handle =
+        spawn_node(NodeConfig::new(file.system, replica), transport).map_err(|e| e.to_string())?;
     let deadline = match flags.get("--duration-ms") {
         Some(_) => Some(Instant::now() + Duration::from_millis(flags.int("--duration-ms", 0)?)),
         None => None, // run until killed

@@ -69,9 +69,6 @@ pub struct ClusterPlan {
     /// frames pass through a seeded [`crate::mangle::ByteMangler`] (each
     /// replica gets its own stream derived from the configured seed).
     pub mangle: Option<MangleConfig>,
-    /// Width of each node's verify/execute worker pool
-    /// (`--execution-workers` on the CLI).
-    pub execution_workers: usize,
     /// Width of each node's client-edge I/O thread pool (TCP only;
     /// `--io-threads` on the CLI).
     pub io_threads: usize,
@@ -107,7 +104,6 @@ impl ClusterPlan {
             run_for: Duration::from_millis(2_000),
             restart: None,
             mangle: None,
-            execution_workers: crate::node::DEFAULT_EXECUTION_WORKERS,
             io_threads: crate::event_loop::DEFAULT_IO_THREADS,
             max_clients: crate::event_loop::DEFAULT_MAX_CLIENTS,
             fleet_sessions: 0,
@@ -380,11 +376,7 @@ where
         sleep_until((kill_at + restart.down_for).min(deadline));
         let transport = respawn(restart.replica);
         let node = spawn_node(
-            NodeConfig {
-                system: plan.system.clone(),
-                replica: restart.replica,
-                execution_workers: plan.execution_workers,
-            },
+            NodeConfig::new(plan.system.clone(), restart.replica),
             BoxedTransport(transport),
         )
         // rcc-lint: allow(panic) — orchestration harness: a restart the
@@ -483,11 +475,7 @@ fn run_in_process(plan: &ClusterPlan) -> ClusterOutcome {
     let mut nodes: Vec<Option<NodeHandle>> = ReplicaId::all(n)
         .map(|replica| {
             let node = spawn_node(
-                NodeConfig {
-                    system: plan.system.clone(),
-                    replica,
-                    execution_workers: plan.execution_workers,
-                },
+                NodeConfig::new(plan.system.clone(), replica),
                 BoxedTransport(maybe_mangled(hub.transport(replica), plan.mangle, replica)),
             )
             // rcc-lint: allow(panic) — orchestration harness: no nodes,
@@ -540,11 +528,7 @@ fn run_tcp(plan: &ClusterPlan) -> ClusterOutcome {
         .map(|(index, listener)| {
             let replica = ReplicaId(index as u32);
             let node = spawn_node(
-                NodeConfig {
-                    system: plan.system.clone(),
-                    replica,
-                    execution_workers: plan.execution_workers,
-                },
+                NodeConfig::new(plan.system.clone(), replica),
                 BoxedTransport(maybe_mangled(
                     TcpTransport::with_listener_and_edge(
                         replica,

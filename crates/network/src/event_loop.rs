@@ -1063,15 +1063,26 @@ mod tests {
         crate::tcp::write_frame(&mut peer, &hello).unwrap();
         crate::tcp::write_frame(&mut peer, &trailing).unwrap();
         assert_eq!(inbox.recv_timeout(Duration::from_secs(5)).unwrap(), hello);
-        let (_stream, mut residue) = handoffs.recv_timeout(Duration::from_secs(5)).unwrap();
-        // The residue may hold the trailing frame (if the sweep's read
-        // grabbed both) or be empty (if the hello arrived alone); when
-        // present it must parse exactly.
-        if !residue.is_empty() {
-            let frame = split_frame(&mut residue).unwrap().unwrap();
-            assert_eq!(frame, trailing);
-            assert!(residue.is_empty());
-        }
+        let (mut stream, mut residue) = handoffs.recv_timeout(Duration::from_secs(5)).unwrap();
+        // The sweep's read may have grabbed the hello alone, the hello plus
+        // part of the trailing frame, or both whole. Whatever it left out
+        // is still on the handed-off socket: residue followed by the
+        // socket's bytes must reassemble exactly the trailing frame.
+        stream.set_nonblocking(false).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let frame = loop {
+            if let Some(frame) = split_frame(&mut residue).unwrap() {
+                break frame;
+            }
+            let mut chunk = [0u8; 64];
+            let read = stream.read(&mut chunk).unwrap();
+            assert!(read > 0, "peer closed before the trailing frame arrived");
+            residue.extend_from_slice(&chunk[..read]);
+        };
+        assert_eq!(frame, trailing);
+        assert!(residue.is_empty());
         assert_eq!(edge.active_clients(), 0, "peer links hold no client slot");
         shutdown.store(true, Ordering::Relaxed);
     }

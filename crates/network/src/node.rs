@@ -21,18 +21,16 @@
 //! since the node started (`Instant`-derived), which is all the protocol
 //! timers need.
 //!
-//! # Staged verify/execute pipeline
+//! # Inline verify/execute
 //!
-//! Authentication and execution no longer run inline on the mailbox thread.
-//! Each drained burst of frames is decoded, its authentication checks are
-//! fanned out to a shared [`WorkerPool`] via [`VerifyPool`] (verdicts come
-//! back in arrival order, so the protocol observes exactly the sequence
-//! inline verification would have produced), and only then are the verified
-//! messages dispatched. After every burst the node executes newly released
-//! rounds through [`ExecutionEngine::execute_round_parallel`] on the same
-//! pool: the conflict-aware parallel path whose results are bit-identical
-//! to sequential execution (see `crates/execution/tests/`). The pool width
-//! is [`NodeConfig::execution_workers`] (`--execution-workers` on the CLI).
+//! Authentication and execution run inline on the mailbox thread: RCC
+//! scales by running consensus instances concurrently, not by a worker pool
+//! inside each replica. Each drained burst of frames is decoded, every
+//! frame's tag is verified on its borrowed payload, and the frames are
+//! dispatched in arrival order. After every burst the node executes newly
+//! released rounds through [`ExecutionEngine::execute_round`]. The
+//! `node.pipeline.{drain,verify,dispatch,execute}_us` histograms time the
+//! four stages of each burst.
 //!
 //! Replies implement §III-A: every replica sends the released batch's
 //! certified digest to the client node that submitted it (recovered from
@@ -43,11 +41,9 @@ use crate::frame::Frame;
 use crate::telemetry::NodeTelemetry;
 use crate::transport::{Transport, TransportStats};
 use rcc_common::codec::{Decode, Encode};
-use rcc_common::{
-    Batch, BatchId, ClientId, Digest, ReplicaId, Round, SystemConfig, Time, WorkerPool,
-};
+use rcc_common::{Batch, BatchId, ClientId, Digest, ReplicaId, Round, SystemConfig, Time};
 use rcc_core::{RccMessage, RccReplica};
-use rcc_crypto::{Authenticator, DeploymentKeys, VerifyJob, VerifyPool, VerifySource};
+use rcc_crypto::{Authenticator, DeploymentKeys};
 use rcc_execution::ExecutionEngine;
 use rcc_protocols::bca::{Action, ByzantineCommitAlgorithm, TimerId};
 use rcc_protocols::pbft::{Pbft, PbftMessage};
@@ -55,11 +51,11 @@ use rcc_telemetry::{FlightEvent, FlightEventKind, Snapshot};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::mpsc::{Receiver, SyncSender, TryRecvError};
-use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Pool width used when a deployment does not configure one.
+/// A worker-pool width for callers that compare pooled verification or
+/// execution against the node's inline paths. The node itself runs no pool.
 pub const DEFAULT_EXECUTION_WORKERS: usize = 4;
 
 /// Configuration of one deployed replica node.
@@ -69,9 +65,21 @@ pub struct NodeConfig {
     pub system: SystemConfig,
     /// Which replica this node is.
     pub replica: ReplicaId,
-    /// Width of the node's verify/execute worker pool (the staged
-    /// pipeline's parallel lane; clamped to at least 1).
+    /// Ignored: the node verifies and executes inline on its mailbox
+    /// thread. Kept so struct literals that still set it compile; build
+    /// configs with [`NodeConfig::new`].
     pub execution_workers: usize,
+}
+
+impl NodeConfig {
+    /// The configuration of `replica` in the deployment `system`.
+    pub fn new(system: SystemConfig, replica: ReplicaId) -> Self {
+        NodeConfig {
+            system,
+            replica,
+            execution_workers: DEFAULT_EXECUTION_WORKERS,
+        }
+    }
 }
 
 /// What a node measured and held when it shut down.
@@ -198,13 +206,11 @@ pub fn spawn_node(
             let keys = DeploymentKeys::generate(&config.system);
             let auth = Authenticator::new(config.system.crypto, keys.replica_keys(config.replica));
             let replica = RccReplica::over_pbft(config.system.clone(), config.replica);
-            let pool = Arc::new(WorkerPool::new(config.execution_workers));
             let engine = ExecutionEngine::new(config.replica);
             let node = Node {
                 transport,
                 replica,
-                verify: VerifyPool::new(auth, Arc::clone(&pool)),
-                pool,
+                auth,
                 engine,
                 next_exec_round: 0,
                 config,
@@ -237,11 +243,8 @@ struct Node<T: Transport> {
     config: NodeConfig,
     transport: T,
     replica: RccReplica<Pbft>,
-    /// Batch-verification stage: fans frame authentication out to `pool`,
-    /// verdicts return in arrival order. Also owns the signing side.
-    verify: VerifyPool,
-    /// Shared verify/execute worker pool.
-    pool: Arc<WorkerPool>,
+    /// Tags outbound frames and verifies inbound ones.
+    auth: Authenticator,
     /// Deterministic execution engine fed by released rounds.
     engine: ExecutionEngine,
     /// Next released round the engine has not executed yet. Checkpoint
@@ -329,79 +332,56 @@ impl<T: Transport> Node<T> {
         }
     }
 
-    /// Decodes a drained burst, fans its authentication checks out to the
-    /// worker pool in one batch, and dispatches the frames **in arrival
-    /// order** with their verdicts — observably identical to inline
-    /// verification, minus the sequential crypto bill.
+    /// Decodes a drained burst, verifies every frame's tag, then dispatches
+    /// the frames in arrival order with their verdicts.
     fn process_burst(&mut self, burst: Vec<Vec<u8>>) {
-        let mut frames: Vec<Option<Frame>> = Vec::with_capacity(burst.len());
-        let mut jobs: Vec<VerifyJob> = Vec::new();
-        let mut job_slots: Vec<usize> = Vec::new();
+        let mut frames: Vec<Frame> = Vec::with_capacity(burst.len());
         for bytes in &burst {
-            let slot = frames.len();
             match Frame::decode_frame(bytes) {
-                Ok(frame) => {
-                    match &frame {
-                        // A frame claiming to be from ourselves is rejected
-                        // without wasting a worker on it (dispatch counts it).
-                        Frame::Replica { from, payload, tag } if *from != self.config.replica => {
-                            jobs.push(VerifyJob {
-                                source: VerifySource::Replica(*from),
-                                payload: payload.clone(),
-                                tag: *tag,
-                            });
-                            job_slots.push(slot);
-                        }
-                        Frame::ClientSubmit {
-                            client,
-                            payload,
-                            tag,
-                            ..
-                        } => {
-                            jobs.push(VerifyJob {
-                                source: VerifySource::Client(*client),
-                                payload: payload.clone(),
-                                tag: *tag,
-                            });
-                            job_slots.push(slot);
-                        }
-                        _ => {}
-                    }
-                    frames.push(Some(frame));
-                }
-                Err(_) => {
-                    self.decode_failures += 1;
-                    frames.push(None);
-                }
+                Ok(frame) => frames.push(frame),
+                Err(_) => self.decode_failures += 1,
             }
         }
         let verify_start = self.telemetry.now_nanos();
-        let verdicts = self.verify.verify_batch(jobs);
-        let mut verdict_of: BTreeMap<usize, bool> = BTreeMap::new();
-        for (slot, (_, ok)) in job_slots.into_iter().zip(&verdicts) {
-            verdict_of.insert(slot, *ok);
-        }
+        let verdicts: Vec<bool> = frames.iter().map(|frame| self.verify(frame)).collect();
         let dispatch_start = self.telemetry.now_nanos();
         self.telemetry
             .verify_us
             .record(dispatch_start.saturating_sub(verify_start) / 1_000);
-        for (slot, frame) in frames.into_iter().enumerate() {
-            if let Some(frame) = frame {
-                self.dispatch(frame, verdict_of.get(&slot).copied());
-            }
+        for (frame, verified) in frames.into_iter().zip(verdicts) {
+            self.dispatch(frame, verified);
         }
         self.telemetry
             .dispatch_us
             .record(self.telemetry.now_nanos().saturating_sub(dispatch_start) / 1_000);
     }
 
-    /// Handles one decoded frame whose authentication verdict (if the frame
-    /// needed one) was already computed by the verify stage.
-    fn dispatch(&mut self, frame: Frame, verified: Option<bool>) {
+    /// Whether an inbound frame's tag authenticates its claimed sender. A
+    /// replica frame claiming to come from this node is rejected unchecked;
+    /// frames that carry no tag pass (dispatch ignores them).
+    fn verify(&self, frame: &Frame) -> bool {
+        match frame {
+            Frame::Replica { from, payload, tag } => {
+                *from != self.config.replica
+                    && self.auth.verify_from_replica(*from, payload, tag).is_ok()
+            }
+            Frame::ClientSubmit {
+                client,
+                payload,
+                tag,
+                ..
+            } => self.auth.verify_from_client(*client, payload, tag).is_ok(),
+            _ => true,
+        }
+    }
+
+    /// Handles one decoded frame whose authentication verdict was already
+    /// computed by [`Node::verify`].
+    fn dispatch(&mut self, frame: Frame, verified: bool) {
         match frame {
             Frame::Hello { .. } => {} // transport-level concern; nothing to do
             Frame::Replica { from, payload, .. } => {
-                if from == self.config.replica || verified != Some(true) {
+                if !verified {
                     self.auth_failures += 1;
                     return;
                 }
@@ -421,7 +401,7 @@ impl<T: Transport> Node<T> {
                 payload,
                 ..
             } => {
-                if verified != Some(true) {
+                if !verified {
                     self.auth_failures += 1;
                     return;
                 }
@@ -506,12 +486,11 @@ impl<T: Transport> Node<T> {
         }
     }
 
-    /// Executes every newly released round the replica retains through the
-    /// conflict-aware parallel engine. Checkpoint adoption can jump the
-    /// release frontier past rounds this node never saw (they were pruned
-    /// cluster-wide); execution resumes at the first retained round, which
-    /// is exactly what the restart-robust ledger comparison in
-    /// [`verify_identical_ledgers`] accounts for.
+    /// Executes every newly released round the replica retains. Checkpoint
+    /// adoption can jump the release frontier past rounds this node never
+    /// saw (they were pruned cluster-wide); execution resumes at the first
+    /// retained round, which is exactly what the restart-robust ledger
+    /// comparison in [`verify_identical_ledgers`] accounts for.
     fn execute_released(&mut self) {
         let execute_start = self.telemetry.now_nanos();
         let rounds: Vec<(Round, Vec<(BatchId, Batch)>)> = self
@@ -539,9 +518,7 @@ impl<T: Transport> Node<T> {
             // Replies to clients travel via the §III-A digest protocol
             // (`Action::Commit` → `reply`); the engine's own reply records
             // are not re-sent here.
-            let _ = self
-                .engine
-                .execute_round_parallel(round, &ordered, &self.pool);
+            let _ = self.engine.execute_round(round, &ordered);
             self.next_exec_round = round + 1;
         }
         self.telemetry
@@ -551,7 +528,7 @@ impl<T: Transport> Node<T> {
 
     fn send(&mut self, to: ReplicaId, message: &RccMessage<PbftMessage>) {
         let payload = message.encoded();
-        let tag = self.verify.authenticator().tag_for_replica(to, &payload);
+        let tag = self.auth.tag_for_replica(to, &payload);
         let frame = Frame::Replica {
             from: self.config.replica,
             payload,
@@ -576,10 +553,7 @@ impl<T: Transport> Node<T> {
             }
             last_stream = Some(stream);
             let client = ClientId(stream);
-            let tag = self
-                .verify
-                .authenticator()
-                .tag_for_client(client, digest.as_bytes());
+            let tag = self.auth.tag_for_client(client, digest.as_bytes());
             let frame = Frame::ClientReply {
                 replica: self.config.replica,
                 digest,
@@ -700,6 +674,108 @@ pub fn verify_identical_ledgers(reports: &[NodeReport]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::{queue_capacity, ClientChannel, InProcessNetwork};
+    use rcc_common::{ClientRequest, CryptoMode, InstanceId, Transaction};
+    use rcc_crypto::AuthTag;
+
+    fn submission(client: ClientId, amount: i64) -> Batch {
+        Batch::new(vec![ClientRequest::new(
+            client,
+            0,
+            Transaction::transfer(0, 1, 0, amount),
+        )])
+    }
+
+    /// One burst mixing valid and forged frames: only the forgeries are
+    /// rejected, and the valid submission is accepted.
+    #[test]
+    fn inline_verification_rejects_forgeries_within_one_burst() {
+        let system = SystemConfig::new(4)
+            .with_instances(2)
+            .with_crypto(CryptoMode::Mac);
+        let me = ReplicaId(0);
+        let keys = DeploymentKeys::generate(&system);
+        let hub = InProcessNetwork::new(system.n, queue_capacity(&system));
+        let transport = hub.transport(me);
+        let client = ClientId(7);
+        let mut channel = hub.client(client);
+
+        // A real consensus message: replica 1's proposal on the instance
+        // it coordinates.
+        let mut peer = RccReplica::over_pbft(system.clone(), ReplicaId(1));
+        let proposal = peer
+            .propose_for(Time::ZERO, InstanceId(1), submission(ClientId(8), 5))
+            .into_iter()
+            .find_map(|action| match action {
+                Action::Broadcast { message } => Some(message.encoded()),
+                _ => None,
+            })
+            .expect("the coordinator broadcasts its proposal");
+        let peer_auth = Authenticator::new(system.crypto, keys.replica_keys(ReplicaId(1)));
+        let my_auth = Authenticator::new(system.crypto, keys.replica_keys(me));
+        let valid_tag = peer_auth.tag_for_replica(me, &proposal);
+        let AuthTag::Mac(mut corrupted) = valid_tag else {
+            panic!("MAC deployment produced a non-MAC tag");
+        };
+        corrupted.0[0] ^= 0xFF;
+
+        let client_mac = &keys.client_keys(client).mac_with_replicas[me.index()];
+        let forged = submission(client, 10).encoded();
+        let valid = submission(client, 20);
+        let valid_payload = valid.encoded();
+        let frames = [
+            Frame::Replica {
+                from: ReplicaId(1),
+                payload: proposal.clone(),
+                tag: valid_tag,
+            },
+            Frame::Replica {
+                from: ReplicaId(1),
+                payload: proposal.clone(),
+                tag: AuthTag::Mac(corrupted),
+            },
+            Frame::Replica {
+                from: me,
+                tag: my_auth.tag_for_replica(me, &proposal),
+                payload: proposal,
+            },
+            Frame::ClientSubmit {
+                client,
+                instance: InstanceId(0),
+                tag: AuthTag::Mac(client_mac.tag(b"some other payload")),
+                payload: forged,
+            },
+            Frame::ClientSubmit {
+                client,
+                instance: InstanceId(0),
+                tag: AuthTag::Mac(client_mac.tag(&valid_payload)),
+                payload: valid_payload,
+            },
+        ];
+        // Queued before the node starts, so its first drain takes them as
+        // one burst.
+        for frame in &frames {
+            channel.submit(me, frame.encode_frame());
+        }
+        let node = spawn_node(NodeConfig::new(system, me), transport).expect("spawn node");
+
+        let want = rcc_crypto::digest_batch(&valid);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut accepted = false;
+        while !accepted && Instant::now() < deadline {
+            let Some(bytes) = channel.recv_timeout(Duration::from_millis(50)) else {
+                continue;
+            };
+            accepted = matches!(
+                Frame::decode_frame(&bytes),
+                Ok(Frame::ClientAccept { replica, digest }) if replica == me && digest == want
+            );
+        }
+        let report = node.shutdown().expect("node report");
+        assert!(accepted, "the valid submission got no ClientAccept");
+        assert_eq!(report.auth_failures, 3);
+        assert_eq!(report.decode_failures, 0);
+    }
 
     fn report(replica: u32, start: Round, digests: Vec<u8>) -> NodeReport {
         NodeReport {

@@ -4,7 +4,7 @@
 //! Two bundles live here, one per deployment layer:
 //!
 //! * [`NodeTelemetry`] — owned by each `rcc-node` mailbox thread. Times the
-//!   staged pipeline (drain → verify → dispatch → execute) per burst,
+//!   mailbox pipeline (drain → verify → dispatch → execute) per burst,
 //!   tracks the drained-burst high-water mark, and flight-records consensus
 //!   events (σ-lag suspicions, completed view changes).
 //! * [`EdgeTelemetry`] — owned by a [`crate::event_loop::ClientEdge`].
@@ -43,7 +43,7 @@ pub struct NodeTelemetry {
     flight: FlightRecorder,
     /// Per-burst time spent draining and decoding inbound frames, in µs.
     pub(crate) drain_us: Histogram,
-    /// Per-burst time spent in batched authentication, in µs.
+    /// Per-burst time spent authenticating the decoded frames inline, in µs.
     pub(crate) verify_us: Histogram,
     /// Per-burst time spent dispatching verified frames into the protocol,
     /// in µs.

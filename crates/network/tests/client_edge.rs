@@ -50,7 +50,6 @@ fn fleet_connections_multiplex_over_a_fixed_thread_pool() {
     let mut plan = ClusterPlan::client_edge_smoke();
     plan.fleet_sessions = 64;
     plan.run_for = Duration::from_millis(4_000);
-    plan.execution_workers = 2;
 
     let stop = Arc::new(AtomicBool::new(false));
     let peak_threads = Arc::new(AtomicUsize::new(0));
@@ -139,11 +138,7 @@ fn a_client_rejected_at_the_cap_fails_over_and_still_commits() {
                 EdgeConfig::default()
             };
             spawn_node(
-                NodeConfig {
-                    system: system.clone(),
-                    replica,
-                    execution_workers: 2,
-                },
+                NodeConfig::new(system.clone(), replica),
                 TcpTransport::with_listener_and_edge(
                     replica,
                     listener,

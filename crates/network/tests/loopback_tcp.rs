@@ -4,7 +4,7 @@
 //! These run under `cargo test` in debug builds, so the workloads are kept
 //! modest; the interesting assertions are about *agreement* (identical
 //! release orders across replicas AND identical executed-ledger digests —
-//! the parallel execution stage must not diverge), *liveness* (clients
+//! every replica's execution engine must reach the same blocks), *liveness* (clients
 //! complete reply quorums), and *recovery* (a killed-and-restarted node
 //! catches up, and a killed coordinator is deposed by the survivors).
 
@@ -23,10 +23,6 @@ fn plan(transport: TransportKind, run_ms: u64) -> ClusterPlan {
         transport,
         clients: 2,
         client_window: 4,
-        // Stress the conflict-aware executor: every release executes
-        // across a 4-worker pool, and the ledger-digest assertions below
-        // prove it stayed bit-identical across replicas.
-        execution_workers: 4,
         run_for: Duration::from_millis(run_ms),
         restart: None,
         mangle: None,
@@ -61,7 +57,7 @@ fn assert_healthy(outcome: &rcc_network::ClusterOutcome) {
             "{} executed no ledger blocks — the execution stage never ran",
             report.replica
         );
-        // The staged pipeline's telemetry must have seen real bursts: an
+        // The node pipeline's telemetry must have seen real bursts: an
         // empty verify histogram on a node that released batches means the
         // instrumentation came unwired (the CI grep gate checks the same
         // invariant on the smoke artifact).
